@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,4 +217,42 @@ func TestEvictedJobAnswers410(t *testing.T) {
 		t.Fatalf("recomputed ID %s != original %s", re.ID, a.ID)
 	}
 	waitDone(a.ID)
+}
+
+// TestSubmitRejectsUnsupportedConfig: a churn workload under a link
+// mode it cannot run (plugin-server static or patched, jit static) is
+// a 400 naming the allowed configs, for a single job and for a sweep
+// that includes it — not an accepted job that fails later.
+func TestSubmitRejectsUnsupportedConfig(t *testing.T) {
+	ts, r := newTestServer(t)
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, c := range []struct{ workload, config, allowed string }{
+		{"plugin-server", "static", "[base enhanced eager base-arm enhanced-arm]"},
+		{"plugin-server", "patched", "[base enhanced eager base-arm enhanced-arm]"},
+		{"jit", "static", "[base enhanced eager patched base-arm enhanced-arm]"},
+	} {
+		job := fmt.Sprintf(`{"workload":%q,"config":%q,"seed":1}`, c.workload, c.config)
+		sweep := fmt.Sprintf(`{"workload":%q,"configs":["base",%q],"seeds":[1]}`, c.workload, c.config)
+		for _, p := range []struct{ path, body string }{{"/v1/jobs", job}, {"/v1/batches", sweep}} {
+			code, msg := post(p.path, p.body)
+			if code != http.StatusBadRequest || !strings.Contains(msg, "allowed: "+c.allowed) {
+				t.Errorf("POST %s %s: %d %q, want 400 naming allowed configs %s", p.path, p.body, code, msg, c.allowed)
+			}
+		}
+	}
+	if st := r.Stats(); st.CacheMisses != 0 || st.Failed != 0 {
+		t.Errorf("rejected specs reached the engine: misses=%d failed=%d", st.CacheMisses, st.Failed)
+	}
 }

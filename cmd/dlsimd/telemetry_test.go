@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -66,6 +67,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		// Retry/shed counters exist even at zero.
 		"dlsim_runner_retries_total 0",
 		"dlsim_runner_shed_total 0",
+		// Warm-state checkpoints: no spec here repeats a warm phase.
+		"dlsim_runner_warm_checkpoint_captures_total 0",
+		"dlsim_runner_warm_checkpoint_hits_total 0",
+		"dlsim_runner_warm_checkpoints 0",
 		// Per-workload simulation counters.
 		`dlsim_sim_instructions_total{workload="memcached",config="base"}`,
 		`dlsim_sim_abtb_redirects_total{workload="memcached",config="base"}`,
@@ -207,5 +212,69 @@ func TestTraceSurvivesRetry(t *testing.T) {
 	}
 	if got := scrape(t, ts); !strings.Contains(got, "dlsim_runner_retries_total 1") {
 		t.Error("exposition missing retry counter increment")
+	}
+}
+
+// TestWarmCheckpointOverHTTP: two specs that differ only in
+// sample_windows share a warm phase.  With one worker, the first job
+// warms and checkpoints while the second waits; the second restores
+// the checkpoint.  /v1/stats counts one capture and one hit with none
+// left held, and each job's trace says how its warmup ran.
+func TestWarmCheckpointOverHTTP(t *testing.T) {
+	// Hold the first job briefly before it starts, so the second is
+	// queued behind it when its warm phase ends.
+	faultinject.Enable("runner.execute", faultinject.PointConfig{Mode: faultinject.Delay, Prob: 1, Count: 1, Delay: 300 * time.Millisecond})
+	t.Cleanup(faultinject.Reset)
+	ts, _ := newTestServerOpts(t, runner.Options{Workers: 1}, serverConfig{})
+
+	var ids []string
+	for _, sw := range []int{4, 8} {
+		body := fmt.Sprintf(`{"workload":"memcached","config":"enhanced","seed":7,"warm":10,"measure":40,"sample_windows":%d}`, sw)
+		sub, code := postJob(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", body, code)
+		}
+		ids = append(ids, sub.ID)
+	}
+	for _, id := range ids {
+		pollState(t, ts, id, runner.StateDone)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st statsResponse
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WarmCaptures != 1 || st.WarmHits != 1 || st.WarmCheckpoints != 0 {
+		t.Errorf("stats captures=%d hits=%d held=%d, want 1, 1, 0", st.WarmCaptures, st.WarmHits, st.WarmCheckpoints)
+	}
+
+	for i, want := range []string{"captured", "hit"} {
+		resp, err := http.Get(ts.URL + "/v1/traces/" + ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr telemetry.TraceJSON
+		err = json.NewDecoder(resp.Body).Decode(&tr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, attempt := range tr.Root.Children {
+			for _, ph := range attempt.Children {
+				if ph.Name == "warmup" {
+					got = ph.Attrs["checkpoint"]
+				}
+			}
+		}
+		if got != want {
+			t.Errorf("job %s warmup checkpoint = %q, want %q", ids[i], got, want)
+		}
 	}
 }

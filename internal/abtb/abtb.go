@@ -157,6 +157,18 @@ func New(cfg Config) *ABTB {
 	return a
 }
 
+// Clone returns an independent copy of the ABTB: mappings, Bloom
+// filter, ASID, the retire-stage pattern detector's pending state and
+// counters.
+func (a *ABTB) Clone() *ABTB {
+	c := *a
+	c.table = a.table.Clone()
+	if a.bloom != nil {
+		c.bloom = a.bloom.Clone()
+	}
+	return &c
+}
+
 // key derives the table key from a trampoline address.  PLT slots are
 // 16-byte aligned, so the low four bits carry no entropy; rotating
 // them to the top (an injective transform, so distinct addresses never

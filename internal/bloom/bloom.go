@@ -42,6 +42,13 @@ func New(bits, k int) *Filter {
 	}
 }
 
+// Clone returns an independent copy of the filter's bits and counters.
+func (f *Filter) Clone() *Filter {
+	c := *f
+	c.bits = append([]uint64(nil), f.bits...)
+	return &c
+}
+
 // mix64 is SplitMix64's finalizer, a strong 64-bit mixing function.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -98,6 +98,16 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// Clone returns an independent copy of the predictor: BTB contents,
+// pattern history, global history, return stack and counters.
+func (p *Predictor) Clone() *Predictor {
+	c := *p
+	c.btb = p.btb.Clone()
+	c.pht = append([]uint8(nil), p.pht...)
+	c.ras = append([]uint64(nil), p.ras...)
+	return &c
+}
+
 // btbKey derives the BTB index/tag key from a branch PC.  Hardware
 // BTBs index above the low in-fetch-block offset bits; rotating the
 // two lowest bits away (injective, so tags never falsely match) keeps

@@ -72,6 +72,28 @@ func New(cfg Config, next *Cache) *Cache {
 	}
 }
 
+// Clone returns an independent copy of this level — contents, LRU
+// state and counters — backed by next, which the caller clones first
+// (an L1's copy must point at the copy of its L2, not the original).
+func (c *Cache) Clone(next *Cache) *Cache {
+	cp := *c
+	cp.tags = c.tags.Clone()
+	cp.next = next
+	return &cp
+}
+
+// Snapshot returns a compact copy of a last-level cache, holding only
+// its resident lines (see setassoc.Table.Snapshot), for storage: it
+// must not be accessed until Expand, which restores it exactly.
+func (c *Cache) Snapshot() *Cache {
+	cp := *c
+	cp.tags = c.tags.Snapshot()
+	return &cp
+}
+
+// Expand restores a snapshot's full storage (a no-op on a full cache).
+func (c *Cache) Expand() { c.tags.Expand() }
+
 // Line returns the line index (address divided by line size).
 func (c *Cache) Line(addr uint64) uint64 { return addr >> c.lineShift }
 

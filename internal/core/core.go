@@ -159,6 +159,39 @@ func NewSystemFromImage(img *linker.Image, cfg Config) *System {
 	return s
 }
 
+// Clone returns an independent copy of the system in its current
+// state: a clone of the image (copy-on-write memory, resolution count
+// kept), a deep copy of the CPU, and copies of both trace recorders
+// wired to the new CPU.  Driving the copy leaves the source unchanged
+// and vice versa, and the copy continues bit-identically to how the
+// source would — the property warm-state checkpoints rest on.  Clone
+// mutates the source image's copy-on-write bookkeeping (see
+// linker.Image.Fork), so serialise it against every other use of the
+// source.
+func (s *System) Clone() *System { return s.clone(false) }
+
+// Snapshot is Clone for storage: the copy's CPU is a compact
+// cpu.CPU.Snapshot, so the copy must not run until its CPU's Expand;
+// Clone of it returns a full, runnable system.
+func (s *System) Snapshot() *System { return s.clone(true) }
+
+func (s *System) clone(snapshot bool) *System {
+	img := s.img.Clone()
+	c := &System{
+		cfg:     s.cfg,
+		img:     img,
+		rec:     s.rec.Clone(),
+		lifeRec: s.lifeRec.Clone(),
+	}
+	if snapshot {
+		c.cpu = s.cpu.Snapshot(img)
+	} else {
+		c.cpu = s.cpu.Clone(img)
+	}
+	c.attachRecorders()
+	return c
+}
+
 // attachRecorders fans the CPU's library-call trace point out to both
 // the windowed and the lifetime recorder.
 func (s *System) attachRecorders() {

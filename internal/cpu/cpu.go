@@ -248,6 +248,9 @@ type execPage [mem.PageSize]uint64
 // page switches without a map probe.
 const pageMemoSize = 128
 
+// pcCount is one non-zero execution count of a snapshot.
+type pcCount struct{ pc, n uint64 }
+
 type pageMemoEntry struct {
 	pn     uint64
 	page   *linker.InstrPage // nil marks an empty memo slot
@@ -286,7 +289,9 @@ type CPU struct {
 
 	// Per-PC dynamic execution counts, kept only for instructions
 	// whose behaviour depends on them (conditional branches and
-	// swept loads/stores), paged like the fetch index.
+	// swept loads/stores), paged like the fetch index.  A snapshot
+	// (see Snapshot) keeps the non-zero counts in packedExec instead,
+	// with execPages nil.
 	execPages map[uint64]*execPage
 
 	// Per-trampoline call counts, including skipped ones, indexed by
@@ -348,6 +353,10 @@ type CPU struct {
 	memoGen    uint64
 
 	c Counters
+
+	// packedExec holds a snapshot's non-zero execution counts; it
+	// sits last so the hot fields above keep their layout.
+	packedExec []pcCount
 }
 
 // New constructs a CPU for the image.  Configuration errors panic:
@@ -374,6 +383,104 @@ func New(img *linker.Image, cfg Config) *CPU {
 		c.ab = abtb.New(*cfg.ABTB)
 	}
 	return c
+}
+
+// Clone returns an independent copy of the CPU executing img, which
+// must be a clone of the CPU's image at its current state (see
+// linker.Image.Clone).  Caches, TLBs, predictor, ABTB, counters,
+// per-PC execution counts and per-trampoline counts are deep-copied;
+// the L2 is copied too, so a CPU built on a shared L2 gets a private
+// copy.  The read-only compiled program is shared.  The fetch, index
+// and page memos start empty: they only cache lookups, so the copy
+// runs bit-identically to the source from here on.  Trace hooks and
+// the interval sampler are not carried over.
+func (c *CPU) Clone(img *linker.Image) *CPU { return c.clone(img, false) }
+
+// Snapshot is Clone for storage — a held warm checkpoint.  It keeps
+// only state that is not zero: the L2, a 12 MiB cache holding a few
+// percent of its lines after warmup, keeps its resident lines, and the
+// per-PC execution counts keep their non-zero counts instead of 32 KiB
+// per code page.  A snapshot must not run until Expand; Clone of it
+// returns a full CPU.
+func (c *CPU) Snapshot(img *linker.Image) *CPU { return c.clone(img, true) }
+
+func (c *CPU) clone(img *linker.Image, snapshot bool) *CPU {
+	cp := &CPU{
+		cfg:         c.cfg,
+		img:         img,
+		mem:         img.Memory(),
+		itlb:        c.itlb.Clone(),
+		dtlb:        c.dtlb.Clone(),
+		bp:          c.bp.Clone(),
+		sp:          c.sp,
+		trampCounts: append([]uint64(nil), c.trampCounts...),
+		prog:        c.prog,
+		gotStores:   c.gotStores,
+		pageFaults:  c.pageFaults,
+		demand:      c.demand,
+		memoGen:     c.memoGen,
+		c:           c.c,
+	}
+	cp.cfg.SharedL2 = nil
+	if snapshot {
+		cp.l2, cp.packedExec = c.l2.Snapshot(), c.packExec()
+	} else {
+		cp.l2, cp.execPages = c.l2.Clone(nil), c.execCopy()
+	}
+	cp.l1i = c.l1i.Clone(cp.l2)
+	cp.l1d = c.l1d.Clone(cp.l2)
+	if c.ab != nil {
+		cp.ab = c.ab.Clone()
+	}
+	return cp
+}
+
+// execCopy returns a private copy of the per-PC execution counts,
+// from the page map or, on a snapshot, from the packed list.
+func (c *CPU) execCopy() map[uint64]*execPage {
+	out := make(map[uint64]*execPage, len(c.execPages))
+	if c.execPages != nil {
+		for pn, p := range c.execPages {
+			q := *p
+			out[pn] = &q
+		}
+		return out
+	}
+	for _, e := range c.packedExec {
+		pn := e.pc >> mem.PageShift
+		p := out[pn]
+		if p == nil {
+			p = new(execPage)
+			out[pn] = p
+		}
+		p[e.pc&(mem.PageSize-1)] = e.n
+	}
+	return out
+}
+
+// packExec returns the non-zero per-PC execution counts as a packed
+// list (shared with a snapshot source, which never writes it).
+func (c *CPU) packExec() []pcCount {
+	if c.execPages == nil {
+		return c.packedExec
+	}
+	var out []pcCount
+	for pn, p := range c.execPages {
+		for off, n := range p {
+			if n != 0 {
+				out = append(out, pcCount{pc: pn<<mem.PageShift | uint64(off), n: n})
+			}
+		}
+	}
+	return out
+}
+
+// Expand restores a snapshot to a full CPU (a no-op on a full one).
+func (c *CPU) Expand() {
+	c.l2.Expand()
+	if c.execPages == nil {
+		c.execPages, c.packedExec = c.execCopy(), nil
+	}
 }
 
 // Image returns the image the CPU executes.

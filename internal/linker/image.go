@@ -2,6 +2,7 @@ package linker
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -40,13 +41,22 @@ func (im *Image) Fork() *Image {
 	im.shared = true
 	clone.shared = true
 	clone.runtimeWrite = nil
-	if len(im.demandPages) > 0 {
-		clone.demandPages = make(map[uint64]struct{}, len(im.demandPages))
-		for pn := range im.demandPages {
-			clone.demandPages[pn] = struct{}{}
-		}
-	}
+	// Copy even an empty set: a shared non-nil map would let a later
+	// demand Load on one side add pending pages to the other.
+	clone.demandPages = maps.Clone(im.demandPages)
 	return &clone
+}
+
+// Clone is Fork for a process already under way: the copy also keeps
+// the lazy-resolution count, so it continues exactly where the source
+// stands.  Generation, demand-pending pages and runtime-load state
+// carry over through Fork.  It is how a warmed system is checkpointed
+// (see core.System.Clone), with Fork's rules: serialise Clone against
+// every other use of the source.
+func (im *Image) Clone() *Image {
+	c := im.Fork()
+	c.resolutions = im.resolutions
+	return c
 }
 
 // Generation counts runtime Load/Unload mutations of the image.  A

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -94,5 +96,39 @@ func TestChurnSampledCICoversExact(t *testing.T) {
 					wl, name, want, m.Mean, m.CI95)
 			}
 		}
+	}
+}
+
+// TestChurnUnsupportedConfigsRejected: the churn workloads cannot run
+// under every link mode (unloading needs a GOT and unpatched call
+// sites; GOT rebinding needs a GOT).  Those specs must be rejected up
+// front — by Validate, Submit and a sweep's Expand alike — with a
+// message naming the configs the workload accepts, instead of being
+// accepted and failing at warmup or link.
+func TestChurnUnsupportedConfigsRejected(t *testing.T) {
+	r := New(Options{Workers: 1})
+	defer r.Close()
+	for _, bad := range []JobSpec{
+		{Workload: "plugin-server", Config: Static, Seed: 1},
+		{Workload: "plugin-server", Config: Patched, Seed: 1},
+		{Workload: "jit", Config: Static, Seed: 1},
+	} {
+		ws, _ := WorkloadByName(bad.Workload)
+		want := fmt.Sprintf("allowed: %v", ws.ConfigKinds())
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate(%s/%s) = %v, want an error naming %q", bad.Workload, bad.Config, err, want)
+			continue
+		}
+		if _, _, serr := r.Submit(bad); serr == nil || serr.Error() != err.Error() {
+			t.Errorf("Submit(%s/%s) = %v, want %v", bad.Workload, bad.Config, serr, err)
+		}
+		sweep := SweepSpec{Workload: bad.Workload, Configs: []ConfigKind{Base, bad.Config}, Seeds: []uint64{1}}
+		if _, xerr := sweep.Expand(); xerr == nil || xerr.Error() != err.Error() {
+			t.Errorf("Expand(%s sweep with %s) = %v, want %v", bad.Workload, bad.Config, xerr, err)
+		}
+	}
+	if st := r.Stats(); st.CacheMisses != 0 || st.Failed != 0 {
+		t.Errorf("rejected specs reached the engine: misses=%d failed=%d", st.CacheMisses, st.Failed)
 	}
 }

@@ -27,6 +27,9 @@ import (
 //	dlsim_runner_cache_hits_total            counter    submissions served from a completed result
 //	dlsim_runner_coalesced_total             counter    submissions attached to an in-flight job
 //	dlsim_runner_cache_misses_total          counter    submissions that started a simulation
+//	dlsim_runner_warm_checkpoint_captures_total counter warmed systems checkpointed for a queued repeat
+//	dlsim_runner_warm_checkpoint_hits_total  counter    jobs that skipped their warm phase via a checkpoint
+//	dlsim_runner_warm_checkpoints            gauge      warm checkpoints currently held
 //	dlsim_runner_queue_wait_ms               histogram  submit→worker-acquired wait, per attempt
 //	dlsim_runner_exec_ms                     histogram  single-attempt execution time
 //	dlsim_runner_backoff_ms                  histogram  retry backoff sleeps
@@ -59,6 +62,10 @@ type metrics struct {
 	cacheHits   *telemetry.Counter
 	coalesced   *telemetry.Counter
 	cacheMisses *telemetry.Counter
+
+	warmCaptures *telemetry.Counter
+	warmHits     *telemetry.Counter
+	warmHeld     *telemetry.Gauge
 
 	queueWaitMS   *telemetry.Histogram
 	execMS        *telemetry.Histogram
@@ -109,6 +116,10 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		cacheHits:   reg.Counter("dlsim_runner_cache_hits_total", "Submissions served from a completed cached result."),
 		coalesced:   reg.Counter("dlsim_runner_coalesced_total", "Submissions coalesced onto an in-flight identical job."),
 		cacheMisses: reg.Counter("dlsim_runner_cache_misses_total", "Submissions that started a new simulation."),
+
+		warmCaptures: reg.Counter("dlsim_runner_warm_checkpoint_captures_total", "Warmed systems checkpointed because a queued job repeats their warm phase."),
+		warmHits:     reg.Counter("dlsim_runner_warm_checkpoint_hits_total", "Jobs that started from a warm checkpoint instead of warming from cold."),
+		warmHeld:     reg.Gauge("dlsim_runner_warm_checkpoints", "Warm checkpoints currently held for queued jobs."),
 
 		queueWaitMS:   reg.Histogram("dlsim_runner_queue_wait_ms", "Wait from ready-to-run to worker acquired, per attempt.", wallBuckets),
 		execMS:        reg.Histogram("dlsim_runner_exec_ms", "Single-attempt execution time.", wallBuckets),

@@ -64,15 +64,21 @@ func TestPooledBitIdenticalToUnpooled(t *testing.T) {
 
 	// All three jobs share one bundle; base and enhanced share link
 	// options, so one master serves all three (two forks are hits).
-	// Exact counts shift when ambient fault injection forces retries
-	// (each retry touches the pool again), so only check them clean.
+	// The two enhanced jobs share a warm phase: when they run one
+	// after the other, the second restores a warm checkpoint and never
+	// touches the pool, so every job after the first is either a pool
+	// hit or a checkpoint hit.  Exact counts shift when ambient fault
+	// injection forces retries (each retry touches the pool again), so
+	// only check them clean.
 	if !faultinject.Enabled() {
 		st := pooled.ArtifactPool().Stats()
 		if st.WorkloadMisses != 1 {
 			t.Errorf("workload generated %d times, want 1", st.WorkloadMisses)
 		}
-		if st.ImageMisses != 1 || st.ImageHits != 2 {
-			t.Errorf("image misses=%d hits=%d, want 1 miss + 2 hits", st.ImageMisses, st.ImageHits)
+		warmHits := pooled.Stats().WarmHits
+		if st.ImageMisses != 1 || st.ImageHits+warmHits != 2 {
+			t.Errorf("image misses=%d hits=%d, warm checkpoint hits=%d; want 1 miss + 2 pool or checkpoint hits",
+				st.ImageMisses, st.ImageHits, warmHits)
 		}
 	}
 

@@ -107,7 +107,8 @@ type Options struct {
 	// path.  Results are bit-identical either way (the property
 	// experiments.TestGoldenCounters pins); the switch exists for A/B
 	// throughput benchmarks and as an escape hatch.  Sampled jobs
-	// ignore it — fast-forwarding requires the compiled form.
+	// ignore it — fast-forwarding requires the compiled form.  It also
+	// turns warm-state checkpoints off (see warm.go).
 	DisableCompiledTraces bool
 
 	// MaxBatches bounds how many batch handles are retained for
@@ -140,6 +141,12 @@ type Job struct {
 	// span is the job's root trace span ("job"); nil when tracing is
 	// disabled.  Set once at Submit, before drive starts.
 	span *telemetry.Span
+
+	// warmWanted marks the job as counted in the warm-checkpoint
+	// demand for its warm key: set at Submit and on a retry, cleared
+	// when the job starts its warm phase or finishes without one.
+	// Only the job's drive goroutine touches it after Submit.
+	warmWanted bool
 
 	mu       sync.Mutex
 	state    JobState
@@ -249,6 +256,11 @@ type Runner struct {
 	// store is the disk-backed result tier; nil disables persistence.
 	store *store.Store
 
+	// warm holds warm-state checkpoints for queued jobs that repeat a
+	// warm phase; nil under DisableCompiledTraces, whose exact jobs
+	// warm without a compiled program while sampled ones need one.
+	warm *warmStore
+
 	mu       sync.Mutex
 	byKey    map[string]*Job
 	byID     map[string]*Job
@@ -337,6 +349,9 @@ func New(opts Options) *Runner {
 		batchElem:   make(map[string]*list.Element),
 	}
 	r.m.workers.Set(int64(opts.Workers))
+	if !opts.DisableCompiledTraces {
+		r.warm = newWarmStore(r.m)
+	}
 	if !opts.DisablePool {
 		if opts.Pool != nil {
 			r.pool = opts.Pool
@@ -483,6 +498,7 @@ func (r *Runner) Submit(spec JobSpec) (job *Job, reused bool, err error) {
 	r.m.queued.Inc()
 	r.mu.Unlock()
 
+	r.wantWarm(j)
 	go r.drive(j)
 	return j, false, nil
 }
@@ -671,6 +687,7 @@ func (r *Runner) drive(j *Job) {
 		}
 
 		// Requeue the job and back off before the next attempt.
+		r.wantWarm(j)
 		r.m.queued.Inc()
 		r.m.running.Dec()
 		r.m.retries.Inc()
@@ -716,7 +733,7 @@ func (r *Runner) attempt(j *Job, sp *telemetry.Span) (res *Result, err error) {
 	if ferr := faultinject.FireCtx(ctx, "runner.execute"); ferr != nil {
 		err = fmt.Errorf("runner: %s/%s: %w", j.Spec.Workload, j.Spec.Config, ferr)
 	} else {
-		res, err = r.execute(ctx, j.Spec, sp)
+		res, err = r.execute(ctx, j, sp)
 	}
 	if err == nil {
 		if ferr := faultinject.FireCtx(ctx, "runner.result"); ferr != nil {
@@ -734,8 +751,24 @@ func (r *Runner) attempt(j *Job, sp *telemetry.Span) (res *Result, err error) {
 	return res, err
 }
 
+// wantWarm counts j in its warm key's checkpoint demand, unless it is
+// counted already (a retry whose failed attempt never reached its warm
+// phase).
+func (r *Runner) wantWarm(j *Job) {
+	if r.warm != nil && !j.warmWanted {
+		j.warmWanted = true
+		r.warm.add(warmKeyOf(j.Spec))
+	}
+}
+
 // finish completes the job and folds its outcome into the metrics.
 func (r *Runner) finish(j *Job, res *Result, err error) {
+	// A job that ends without starting its warm phase withdraws its
+	// checkpoint demand first, so an idle runner holds no checkpoint.
+	if j.warmWanted {
+		j.warmWanted = false
+		r.warm.release(warmKeyOf(j.Spec))
+	}
 	// Write the result through to the disk tier before the job's
 	// gauges drop: Drain observing an idle runner then implies every
 	// completed result has been handed to the store, so the shutdown
@@ -783,65 +816,19 @@ func (r *Runner) finish(j *Job, res *Result, err error) {
 	r.retain(j)
 }
 
-// execute runs one simulation: generate the workload, link and build
-// the system, warm it up, and measure.  This is exactly the sequence
-// experiments.Suite historically ran inline (including the driver
-// seed offset), so results are bit-identical to the sequential path:
-// the trace spans around each phase only observe wall clock and touch
-// no simulation state, and the artifact pool — when enabled — serves
-// the generate and link phases from cache, handing the job a bundle
-// and a copy-on-write fork that are bit-identical to fresh ones (see
-// internal/pool).  sp may be nil (tracing disabled).
-func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) (*Result, error) {
-	ws, ok := WorkloadByName(spec.Workload)
-	if !ok {
-		return nil, fmt.Errorf("runner: unknown workload %q", spec.Workload)
-	}
-	cfg, err := spec.Config.Config(spec.Seed)
-	if err != nil {
-		return nil, err
-	}
+// execute runs one simulation: the warm phase (see warmed), then the
+// measured requests.  This is exactly the sequence experiments.Suite
+// historically ran inline (including the driver seed offset), so
+// results are bit-identical to the sequential path: the trace spans
+// around each phase only observe wall clock and touch no simulation
+// state, the artifact pool hands out bundles and copy-on-write forks
+// that are bit-identical to fresh ones (see internal/pool), and a warm
+// checkpoint is a deep copy of the state a cold warm phase leaves
+// behind.  sp may be nil (tracing disabled).
+func (r *Runner) execute(ctx context.Context, j *Job, sp *telemetry.Span) (*Result, error) {
+	spec := j.Spec
 	setupStart := time.Now()
-	ph := sp.Child("generate")
-	var w *workload.Workload
-	if r.pool != nil {
-		var hit bool
-		w, hit = r.pool.Workload(spec.Workload, ws.Gen, spec.Seed)
-		ph.SetAttr("pool_hit", strconv.FormatBool(hit))
-	} else {
-		w = ws.Gen(spec.Seed)
-	}
-	ph.End()
-	ph = sp.Child("link")
-	var sys *core.System
-	if r.pool != nil {
-		var hit bool
-		sys, hit, err = r.pool.ImageSystem(spec.Workload, spec.Seed, w, cfg)
-		ph.SetAttr("pool_hit", strconv.FormatBool(hit))
-	} else {
-		sys, err = w.NewSystem(cfg)
-	}
-	ph.End()
-	if err != nil {
-		return nil, fmt.Errorf("runner: %s/%s: %w", spec.Workload, spec.Config, err)
-	}
-	sampled := spec.SampleWindows > 0
-	if r.pool == nil {
-		// The pool path installed the shared compiled trace program;
-		// without a pool, compile one for this job.  Exact results are
-		// bit-identical on either kernel path.
-		if !r.opts.DisableCompiledTraces || sampled {
-			if perr := sys.CPU().SetProgram(cpu.Compile(sys.Image(), cfg.Hardware.L1I.LineBytes)); perr != nil {
-				return nil, fmt.Errorf("runner: %s/%s: %w", spec.Workload, spec.Config, perr)
-			}
-		}
-	} else if r.opts.DisableCompiledTraces && !sampled {
-		sys.CPU().SetProgram(nil)
-	}
-	d := workload.NewDriver(w, sys, workload.DriverSeed(spec.Seed))
-	ph = sp.Child("warmup")
-	err = d.WarmupContext(ctx, spec.Warm)
-	ph.End()
+	w, sys, d, err := r.warmed(ctx, j, sp)
 	if err != nil {
 		return nil, fmt.Errorf("runner: %s/%s: %w", spec.Workload, spec.Config, err)
 	}
@@ -855,11 +842,11 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 		Workload: w,
 	}
 	measureStart := time.Now()
-	if sampled {
+	if spec.SampleWindows > 0 {
 		// Sampled simulation: fast-forward / warm / measure per window.
 		// Counters cover only the measured excerpts (the sum of the
 		// window deltas); the interval estimates live in res.Sampled.
-		ph = sp.Child("measure-sampled")
+		ph := sp.Child("measure-sampled")
 		run, serr := d.RunSampledContext(ctx, spec.Measure, spec.SampleWindows, spec.SampleWarmup)
 		ph.End()
 		if serr != nil {
@@ -883,7 +870,7 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 			col = timeline.NewCollector(spec.TimelineInterval, timeline.DefaultMaxPoints)
 			col.Attach(sys.CPU())
 		}
-		ph = sp.Child("measure")
+		ph := sp.Child("measure")
 		samp, merr := d.RunContext(ctx, spec.Measure)
 		ph.End()
 		if merr != nil {
@@ -904,6 +891,91 @@ func (r *Runner) execute(ctx context.Context, spec JobSpec, sp *telemetry.Span) 
 	res.Wall = setupWall + res.MeasureWall
 	res.freeze()
 	return res, nil
+}
+
+// warmed returns the job's workload, system and driver at the end of
+// the warm phase.  When a warm checkpoint is held for the job's warm
+// key, it restores from it and skips generation, linking and warmup;
+// otherwise it generates the workload, links and builds the system,
+// and warms it up, then checkpoints the warmed state if a queued job
+// wants the same warm phase.  The warmup span's checkpoint attribute
+// says which: hit, captured or none.
+func (r *Runner) warmed(ctx context.Context, j *Job, sp *telemetry.Span) (*workload.Workload, *core.System, *workload.Driver, error) {
+	spec := j.Spec
+	key := warmKeyOf(spec)
+	if j.warmWanted {
+		j.warmWanted = false
+		if cp, last := r.warm.claim(key); cp != nil {
+			ph := sp.Child("warmup")
+			sys, d := cp.restore(last)
+			if d != nil {
+				r.m.warmHits.Inc()
+				ph.SetAttr("checkpoint", "hit")
+				ph.End()
+				return d.Workload(), sys, d, nil
+			}
+			ph.End()
+		}
+	}
+	ws, ok := WorkloadByName(spec.Workload)
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("unknown workload %q", spec.Workload)
+	}
+	cfg, err := spec.Config.Config(spec.Seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ph := sp.Child("generate")
+	var w *workload.Workload
+	if r.pool != nil {
+		var hit bool
+		w, hit = r.pool.Workload(spec.Workload, ws.Gen, spec.Seed)
+		ph.SetAttr("pool_hit", strconv.FormatBool(hit))
+	} else {
+		w = ws.Gen(spec.Seed)
+	}
+	ph.End()
+	ph = sp.Child("link")
+	var sys *core.System
+	if r.pool != nil {
+		var hit bool
+		sys, hit, err = r.pool.ImageSystem(spec.Workload, spec.Seed, w, cfg)
+		ph.SetAttr("pool_hit", strconv.FormatBool(hit))
+	} else {
+		sys, err = w.NewSystem(cfg)
+	}
+	ph.End()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sampled := spec.SampleWindows > 0
+	if r.pool == nil {
+		// The pool path installed the shared compiled trace program;
+		// without a pool, compile one for this job.  Exact results are
+		// bit-identical on either kernel path.
+		if !r.opts.DisableCompiledTraces || sampled {
+			if err := sys.CPU().SetProgram(cpu.Compile(sys.Image(), cfg.Hardware.L1I.LineBytes)); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	} else if r.opts.DisableCompiledTraces && !sampled {
+		sys.CPU().SetProgram(nil)
+	}
+	d := workload.NewDriver(w, sys, workload.DriverSeed(spec.Seed))
+	ph = sp.Child("warmup")
+	defer ph.End()
+	if err := d.WarmupContext(ctx, spec.Warm); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := faultinject.FireCtx(ctx, "runner.warmup"); err != nil {
+		return nil, nil, nil, err
+	}
+	outcome := "none"
+	if r.warm.offer(key, sys, d) {
+		outcome = "captured"
+	}
+	ph.SetAttr("checkpoint", outcome)
+	return w, sys, d, nil
 }
 
 // Stats is a point-in-time snapshot of the runner's activity.
@@ -935,6 +1007,14 @@ type Stats struct {
 	Deduped     uint64 `json:"deduped"`
 	CacheMisses uint64 `json:"cache_misses"`
 
+	// WarmCaptures counts warmed systems checkpointed for a queued
+	// job repeating their warm phase; WarmHits counts jobs that
+	// started from such a checkpoint; WarmCheckpoints is the number
+	// held right now (0 on an idle runner).
+	WarmCaptures    uint64 `json:"warm_checkpoint_captures"`
+	WarmHits        uint64 `json:"warm_checkpoint_hits"`
+	WarmCheckpoints int    `json:"warm_checkpoints"`
+
 	// Job wall-clock latency over completed jobs, milliseconds.
 	JobMeanMS float64 `json:"job_mean_ms"`
 	JobP50MS  float64 `json:"job_p50_ms"`
@@ -962,6 +1042,10 @@ func (r *Runner) Stats() Stats {
 		CacheHits:   m.cacheHits.Value(),
 		Deduped:     m.coalesced.Value(),
 		CacheMisses: m.cacheMisses.Value(),
+
+		WarmCaptures:    m.warmCaptures.Value(),
+		WarmHits:        m.warmHits.Value(),
+		WarmCheckpoints: int(m.warmHeld.Value()),
 	}
 	if m.jobWallMS.Count() > 0 {
 		st.JobMeanMS = m.jobWallMS.Mean()

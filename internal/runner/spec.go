@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/timeline"
@@ -80,6 +81,26 @@ type WorkloadSpec struct {
 	Gen     func(seed uint64) *workload.Workload
 	Warm    int // warmup requests before measurement
 	Measure int // measured requests at scale 1.0
+
+	// Configs lists the configurations the workload can run under;
+	// nil means all of ConfigKinds.  Library churn needs a GOT to
+	// rebind: a static link has none, and patched call sites cannot
+	// be tombstoned, so churn workloads exclude those modes.
+	Configs []ConfigKind
+}
+
+// ConfigKinds returns the configurations the workload accepts, in
+// presentation order.
+func (ws WorkloadSpec) ConfigKinds() []ConfigKind {
+	if ws.Configs == nil {
+		return ConfigKinds()
+	}
+	return ws.Configs
+}
+
+// Accepts reports whether the workload can run under k.
+func (ws WorkloadSpec) Accepts(k ConfigKind) bool {
+	return slices.Contains(ws.ConfigKinds(), k)
 }
 
 // Workloads is the full registry: the paper's four evaluation
@@ -92,8 +113,13 @@ var Workloads = []WorkloadSpec{
 	{Name: "firefox", Gen: workload.Firefox, Warm: 20, Measure: 150},
 	{Name: "memcached", Gen: workload.Memcached, Warm: 80, Measure: 600},
 	{Name: "mysql", Gen: workload.MySQL, Warm: 40, Measure: 200},
-	{Name: "plugin-server", Gen: workload.PluginServer, Warm: 30, Measure: 160},
-	{Name: "jit", Gen: workload.JIT, Warm: 30, Measure: 160},
+	// plugin-server unloads whole modules, which neither a static nor
+	// a patched image supports; jit's guest code stores to GOT slots,
+	// which a static link lacks and a patched image keeps.
+	{Name: "plugin-server", Gen: workload.PluginServer, Warm: 30, Measure: 160,
+		Configs: []ConfigKind{Base, Enhanced, Eager, BaseARM, EnhancedARM}},
+	{Name: "jit", Gen: workload.JIT, Warm: 30, Measure: 160,
+		Configs: []ConfigKind{Base, Enhanced, Eager, Patched, BaseARM, EnhancedARM}},
 }
 
 // NumPaperWorkloads counts the leading registry entries that belong to
@@ -182,11 +208,15 @@ type JobSpec struct {
 
 // Validate checks the spec against the registries.
 func (j JobSpec) Validate() error {
-	if _, ok := WorkloadByName(j.Workload); !ok {
+	ws, ok := WorkloadByName(j.Workload)
+	if !ok {
 		return fmt.Errorf("runner: unknown workload %q (valid: %v)", j.Workload, WorkloadNames())
 	}
 	if !j.Config.Valid() {
 		return fmt.Errorf("runner: unknown config kind %q (valid: %v)", j.Config, ConfigKinds())
+	}
+	if !ws.Accepts(j.Config) {
+		return fmt.Errorf("runner: workload %q cannot run under config %q (allowed: %v)", j.Workload, j.Config, ws.ConfigKinds())
 	}
 	if j.Warm < 0 || j.Measure < 0 {
 		return fmt.Errorf("runner: negative request budget (warm=%d, measure=%d)", j.Warm, j.Measure)

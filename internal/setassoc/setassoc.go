@@ -37,6 +37,11 @@ type entry[V any] struct {
 	lru   uint64
 }
 
+type packedEntry[V any] struct {
+	idx int
+	e   entry[V]
+}
+
 // Table is a set-associative table mapping uint64 keys to values of
 // type V.  Construct with New.
 type Table[V any] struct {
@@ -56,6 +61,13 @@ type Table[V any] struct {
 	lookups   uint64
 	hits      uint64
 	evictions uint64
+
+	// packed holds a snapshot's valid entries with their positions,
+	// and packedLast the last-hit memo's position (-1 for none);
+	// entries is nil in a snapshot.  They sit last so the fields
+	// Lookup touches keep their cache lines.
+	packed     []packedEntry[V]
+	packedLast int
 }
 
 // sigBit maps a key to its signature bit.  The multiplier is the
@@ -84,6 +96,81 @@ func New[V any](sets, ways int) *Table[V] {
 		occ:     make([]uint16, sets),
 		sig:     make([]uint64, sets),
 	}
+}
+
+// Clone returns an independent deep copy: contents, LRU stamps,
+// occupancy, signatures and counters.  The last-hit memo is re-pointed
+// at the copy's own entry, so a hit through it never touches the
+// source.  A memoised entry that was invalidated out of its key's set
+// is dropped instead; it could never hit anyway.
+//
+// A snapshot (see Snapshot) clones into a full table.
+func (t *Table[V]) Clone() *Table[V] {
+	c := *t
+	c.occ = append([]uint16(nil), t.occ...)
+	c.sig = append([]uint64(nil), t.sig...)
+	if t.entries == nil {
+		c.Expand()
+		return &c
+	}
+	c.entries = append([]entry[V](nil), t.entries...)
+	c.lastHit = nil
+	if i := t.lastIndex(); i >= 0 {
+		c.lastHit = &c.entries[i]
+	}
+	return &c
+}
+
+// lastIndex returns the last-hit memo's position in entries, or -1.
+func (t *Table[V]) lastIndex() int {
+	if e := t.lastHit; e != nil {
+		base := int(e.key&t.mask) * t.ways
+		for i := base; i < base+t.ways; i++ {
+			if &t.entries[i] == e {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// Snapshot returns a compact copy of the table for storage: its valid
+// entries, LRU state and counters, without storage for the invalid
+// entries.  A large, mostly empty table — a last-level cache after
+// warmup — shrinks to a few percent of its size.  A snapshot must not
+// be used until Expand, except as the source of Clone or Snapshot.
+func (t *Table[V]) Snapshot() *Table[V] {
+	c := *t
+	c.occ = append([]uint16(nil), t.occ...)
+	c.sig = append([]uint64(nil), t.sig...)
+	if t.entries == nil {
+		return &c // packed is never written in place, so share it
+	}
+	c.entries, c.lastHit, c.packed = nil, nil, nil
+	c.packedLast = t.lastIndex()
+	for i, e := range t.entries {
+		if e.valid {
+			c.packed = append(c.packed, packedEntry[V]{idx: i, e: e})
+		}
+	}
+	return &c
+}
+
+// Expand restores a snapshot's full storage; the table then behaves
+// exactly as the one the snapshot was taken of.  It is a no-op on a
+// full table.
+func (t *Table[V]) Expand() {
+	if t.entries != nil {
+		return
+	}
+	t.entries = make([]entry[V], t.sets*t.ways)
+	for _, p := range t.packed {
+		t.entries[p.idx] = p.e
+	}
+	if t.packedLast >= 0 {
+		t.lastHit = &t.entries[t.packedLast]
+	}
+	t.packed, t.packedLast = nil, 0
 }
 
 // Sets returns the number of sets.

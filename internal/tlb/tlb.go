@@ -50,6 +50,12 @@ func New(cfg Config) *TLB {
 	return &TLB{cfg: cfg, t: setassoc.New[struct{}](cfg.Entries/cfg.Ways, cfg.Ways)}
 }
 
+// Clone returns an independent copy of the TLB's contents, LRU state
+// and counters.
+func (t *TLB) Clone() *TLB {
+	return &TLB{cfg: t.cfg, t: t.t.Clone()}
+}
+
 // Access translates the page containing addr, returning the penalty in
 // cycles (0 on a hit, the page-walk cost on a miss) and filling the
 // TLB.

@@ -9,6 +9,7 @@
 package trace
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/cpu"
@@ -39,6 +40,16 @@ func NewRecorder(maxEvents int) *Recorder {
 // Attach hooks the recorder into the CPU's library-call trace point.
 func (r *Recorder) Attach(c *cpu.CPU) {
 	c.TraceLibCall = r.Record
+}
+
+// Clone returns an independent copy of the recorded stream and
+// per-slot counts; recording into either side leaves the other as it
+// was.
+func (r *Recorder) Clone() *Recorder {
+	c := *r
+	c.seq = append([]uint64(nil), r.seq...)
+	c.freq = maps.Clone(r.freq)
+	return &c
 }
 
 // Record logs one library call through the trampoline at slot.

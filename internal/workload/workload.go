@@ -86,6 +86,7 @@ func (w *Workload) Class(name string) (RequestClass, error) {
 type Driver struct {
 	w   *Workload
 	sys *core.System
+	src *rand.PCG // rng's state, kept so Clone can copy it
 	rng *rand.Rand
 	cum []float64 // cumulative class weights
 
@@ -135,7 +136,23 @@ func NewDriver(w *Workload, sys *core.System, seed uint64) *Driver {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &Driver{w: w, sys: sys, rng: rand.New(rand.NewPCG(seed, 0xd21e7)), cum: cum}
+	src := rand.NewPCG(seed, 0xd21e7)
+	return &Driver{w: w, sys: sys, src: src, rng: rand.New(src), cum: cum}
+}
+
+// Clone returns a driver over sys — a clone of this driver's system
+// (core.System.Clone) — that continues the request stream exactly
+// where this one stands: the interleaving RNG state, the served count
+// (and with it the perturbation schedule) and the churn cursor are
+// copied, so a churn workload resumes its rotation mid-cycle.
+func (d *Driver) Clone(sys *core.System) *Driver {
+	src := *d.src
+	c := *d
+	c.sys = sys
+	c.src = &src
+	c.rng = rand.New(&src)
+	c.slotGen = append([]int(nil), d.slotGen...)
+	return &c
 }
 
 // System returns the driven system.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 checks, the race-detector pass over the
-# concurrent subsystems, and the fault-injection robustness pass.
-# Equivalent to `make check race faults`.
+# CI entry point: tier-1 checks, the benchmark's own short tests, the
+# race-detector pass over the concurrent subsystems, and the
+# fault-injection robustness pass.  Equivalent to `make check race
+# faults` plus `(cd dlbench && go test -short ./...)`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,9 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is its own module: its short tests check the committed
+# counter digests and that BENCHMARK.json agrees with its catalogue.
+(cd dlbench && go test -short ./...)
 go test -race -timeout 20m ./internal/pool/... ./internal/runner/... ./internal/cluster/... ./cmd/dlsimd/...
 go test -race -timeout 20m -run 'TestSuiteParallelMatchesSequential|TestSuiteConcurrentUse|TestGoldenCounters' ./internal/experiments/
 make faults
